@@ -77,19 +77,26 @@ soak-memory:
 # seeded scenarios mixing active Byzantine replicas, crash/reboot with
 # sealed-storage rollback, and pre-GST network faults, plus a
 # weakened-checker sweep where the invariants must catch the attack,
-# plus coverage-guided fuzzing of the wire-frame decoder.
+# plus coverage-guided fuzzing of the binary codec: wire frames, WAL
+# framing, WAL commit records and snapshots.
 fuzz: build
 	$(GO) run ./cmd/achilles-sim -fuzz -seeds 500
 	$(GO) run ./cmd/achilles-sim -fuzz -seeds 50 -fuzz-weaken
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=60s -run '^$$' ./internal/transport
+	$(GO) test -fuzz=FuzzFrameBody -fuzztime=60s -run '^$$' ./internal/transport
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=60s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzCommitRecord -fuzztime=60s -run '^$$' ./internal/ledger
+	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=60s -run '^$$' ./internal/ledger
 
 # Quick CI variant of the above.
 fuzz-smoke: build
 	$(GO) run ./cmd/achilles-sim -fuzz -seeds 50
 	$(GO) run ./cmd/achilles-sim -fuzz -seeds 10 -fuzz-weaken
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=30s -run '^$$' ./internal/transport
+	$(GO) test -fuzz=FuzzFrameBody -fuzztime=30s -run '^$$' ./internal/transport
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=30s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzCommitRecord -fuzztime=30s -run '^$$' ./internal/ledger
+	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s -run '^$$' ./internal/ledger
 
 # Seeded fuzz sweep with chain-driven reconfigs (add/remove/rotate)
 # interleaved into every scenario alongside Byzantine replicas,

@@ -208,6 +208,9 @@ func main() {
 			if errors.Is(err, wal.ErrCorrupt) {
 				fatalf("data directory %s is corrupted: %v\n(wipe the directory to rebuild this node from the cluster via snapshot transfer)", *dataDir, err)
 			}
+			if errors.Is(err, types.ErrUnsupportedRecord) {
+				fatalf("data directory %s holds records this build cannot read: %v\n(wipe the directory to rebuild this node from the cluster via snapshot transfer)", *dataDir, err)
+			}
 			fatalf("open data directory: %v", err)
 		}
 		rec := durable.Recovered()

@@ -24,8 +24,6 @@ package core
 // peers as block-sync material.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -48,35 +46,85 @@ type durableMarker struct {
 	Height      types.Height
 }
 
+// durableMarkerKind is the sealed marker's record kind (the gob marker
+// of pre-binary-codec builds had no kind byte). Layout:
+// [kind][u64 Incarnation][u64 WalSeq][u64 Height].
+const durableMarkerKind = byte(2)
+
+func (m *durableMarker) encode() []byte {
+	b := make([]byte, 0, 1+3*8)
+	b = append(b, durableMarkerKind)
+	b = types.WireAppendU64(b, m.Incarnation)
+	b = types.WireAppendU64(b, m.WalSeq)
+	return types.WireAppendU64(b, uint64(m.Height))
+}
+
+func decodeDurableMarker(blob []byte) (durableMarker, error) {
+	var m durableMarker
+	if len(blob) == 0 || blob[0] != durableMarkerKind {
+		return m, fmt.Errorf("sealed durable marker: %w", types.ErrUnsupportedRecord)
+	}
+	r := types.NewWireReader(blob[1:])
+	m.Incarnation, m.WalSeq, m.Height = r.U64(), r.U64(), types.Height(r.U64())
+	if r.Err() || r.Len() != 0 {
+		return m, fmt.Errorf("sealed durable marker: %w", types.ErrUnsupportedRecord)
+	}
+	return m, nil
+}
+
+// markerState classifies what the sealed store held at boot.
+type markerState int
+
+const (
+	// markerNone: no marker, or none this enclave can authenticate.
+	markerNone markerState = iota
+	// markerOK: an authenticated marker that decoded.
+	markerOK
+	// markerUnreadable: an authenticated marker that failed to decode
+	// — written by a build with another format, or by a bug. Its
+	// attested height is unknown, so the boot must distrust local
+	// state exactly as for a detected rollback; reading it as "no
+	// marker" would switch rollback detection off.
+	markerUnreadable
+)
+
 // unsealDurableMarker reads and authenticates the sealed durable
 // marker. Replica-side durable state is off (nil Durable) → no marker.
 // A marker sealed one epoch behind the enclave's current sealing key
 // is still accepted through the one-epoch unseal grace: epoch
 // activation reseals the marker under the new key, but a crash between
 // AdvanceEpoch and the reseal must not erase the rollback evidence.
-func (r *Replica) unsealDurableMarker() (durableMarker, bool) {
+// The enclave's own sealed epoch marker failing to decode makes every
+// epoch-bound blob untrustworthy, so it reads as markerUnreadable too.
+func (r *Replica) unsealDurableMarker() (durableMarker, markerState) {
 	var m durableMarker
 	if r.cfg.Durable == nil {
-		return m, false
+		return m, markerNone
+	}
+	if err := r.enclave.EpochMarkerErr(); err != nil {
+		r.env.Logf("durable restore: %v", err)
+		return m, markerUnreadable
 	}
 	blob, err := r.enclave.UnsealE(durableMarkerName)
 	if err != nil {
 		var stale *tee.StaleEpochError
 		if !errors.As(err, &stale) {
-			return m, false
+			return m, markerNone
 		}
 		if blob, err = r.enclave.UnsealPrev(durableMarkerName); err != nil {
-			return m, false
+			return m, markerNone
 		}
 	}
 	if len(blob) == 0 {
-		return m, false
+		return m, markerNone
 	}
-	if derr := gob.NewDecoder(bytes.NewReader(blob)).Decode(&m); derr != nil {
-		return m, false
+	m, err = decodeDurableMarker(blob)
+	if err != nil {
+		r.env.Logf("durable restore: %v", err)
+		return m, markerUnreadable
 	}
 	r.durHeight = max(r.durHeight, m.Height)
-	return m, true
+	return m, markerOK
 }
 
 // sealDurableMarker seals a fresh marker (new incarnation) attesting
@@ -93,11 +141,7 @@ func (r *Replica) sealDurableMarker(h types.Height) {
 	r.durHeight = h
 	r.durIncarnation++
 	m := durableMarker{Incarnation: r.durIncarnation, WalSeq: d.Log().LastSeq(), Height: h}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		return
-	}
-	r.enclave.Seal(durableMarkerName, buf.Bytes())
+	r.enclave.Seal(durableMarkerName, m.encode())
 }
 
 // restoredBatch is one certificate-covered group of restored blocks:
@@ -112,11 +156,12 @@ type restoredBatch struct {
 // directory: newest intact snapshot first, then the chained WAL
 // suffix. Restored commits do not re-fire the commit observer or
 // client replies — they happened in a previous incarnation.
-func (r *Replica) restoreDurable(marker durableMarker, hasMarker bool) {
+func (r *Replica) restoreDurable(marker durableMarker, state markerState) {
 	d := r.cfg.Durable
 	if d == nil {
 		return
 	}
+	hasMarker := state == markerOK
 	if hasMarker {
 		r.durIncarnation = marker.Incarnation
 	}
@@ -189,6 +234,17 @@ func (r *Replica) restoreDurable(marker durableMarker, hasMarker bool) {
 	if n := len(batches); n > 0 {
 		bs := batches[n-1].blocks
 		adopted = bs[len(bs)-1].Height
+	}
+	if state == markerUnreadable {
+		// The enclave holds an authenticated marker it cannot read, so
+		// how far the disk may have been rolled back is unknown: take
+		// the rollback path without resealing (the next snapshot seals
+		// a readable marker; until then every boot stays conservative).
+		r.m.durableRollbacks.Inc()
+		r.flightTrigger("durable-marker-unreadable",
+			fmt.Sprintf("sealed marker unreadable, disk restores %d", adopted))
+		r.env.Logf("durable restore: sealed marker unreadable (disk restores %d); discarding local state", adopted)
+		return
 	}
 	if hasMarker && marker.Height > adopted {
 		// The enclave attests more durable progress than the disk

@@ -488,10 +488,10 @@ func (r *Replica) Init(env protocol.Env) {
 	// so it must run the recovery protocol before participating even if
 	// the operator forgot to say so: the checker's state died with the
 	// old process regardless of what the ledger remembers.
-	marker, hasMarker := r.unsealDurableMarker()
+	marker, markerSt := r.unsealDurableMarker()
 	mustRecover := r.cfg.Recovering
 	if r.cfg.Durable != nil {
-		if h, _ := r.cfg.Durable.Recovered().Tip(); h > 0 || hasMarker {
+		if h, _ := r.cfg.Durable.Recovered().Tip(); h > 0 || markerSt != markerNone {
 			mustRecover = true
 		}
 	}
@@ -520,7 +520,7 @@ func (r *Replica) Init(env protocol.Env) {
 	r.pm = protocol.Pacemaker{Base: r.cfg.BaseTimeout, MaxShift: 10}
 
 	r.prebBlock = r.store.Genesis()
-	r.restoreDurable(marker, hasMarker)
+	r.restoreDurable(marker, markerSt)
 	// Reconcile the enclave's sealed epoch only after the durable restore
 	// has advanced the configuration as far as the disk can prove — an
 	// enclave ahead of everything reconstructable is a configuration

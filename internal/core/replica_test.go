@@ -30,6 +30,12 @@ func newMiniNet(t *testing.T, n, f int, synthetic bool) *miniNet {
 }
 
 func newMiniNetDepth(t *testing.T, n, f int, synthetic bool, depth int) *miniNet {
+	return newMiniNetWith(t, n, f, synthetic, depth, nil)
+}
+
+// newMiniNetWith is newMiniNetDepth with a hook that may adjust each
+// replica's configuration before it is built.
+func newMiniNetWith(t *testing.T, n, f int, synthetic bool, depth int, hook func(*core.Config)) *miniNet {
 	t.Helper()
 	scheme := crypto.FastScheme{}
 	ring := crypto.NewKeyRing()
@@ -42,7 +48,7 @@ func newMiniNetDepth(t *testing.T, n, f int, synthetic bool, depth int) *miniNet
 	m := &miniNet{t: t, n: n, reps: map[types.NodeID]*core.Replica{}, envs: map[types.NodeID]*protocoltest.Env{}}
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		m.reps[id] = core.New(core.Config{
+		cfg := core.Config{
 			Config: protocol.Config{
 				Self: id, N: n, F: f,
 				BatchSize: 8, PayloadSize: 4,
@@ -53,7 +59,11 @@ func newMiniNetDepth(t *testing.T, n, f int, synthetic bool, depth int) *miniNet
 			Priv:              privs[id],
 			SyntheticWorkload: synthetic,
 			PipelineDepth:     depth,
-		})
+		}
+		if hook != nil {
+			hook(&cfg)
+		}
+		m.reps[id] = core.New(cfg)
 		m.envs[id] = &protocoltest.Env{}
 	}
 	return m

@@ -569,7 +569,7 @@ func (r *Replica) propose(parentHash types.Hash, acc *types.AccCert, cc *types.C
 	if ctx.Sampled {
 		batchT0 = time.Now()
 	}
-	txs := r.pool.NextBatch(r.batchSize(), r.env.Now())
+	txs := r.pool.NextBatchExcluding(r.batchSize(), r.env.Now(), r.uncommittedTxKeys(parent))
 	var clientTxs []types.Transaction
 	for i := range txs {
 		if !txs[i].Client.IsSynthetic() {
@@ -622,6 +622,31 @@ func (r *Replica) propose(parentHash types.Hash, acc *types.AccCert, cc *types.C
 	r.observeVote(sc.View, sc.Height, sc.Hash)
 	r.onVote(r.cfg.Self, &MsgVote{SC: sc})
 	return true
+}
+
+// uncommittedTxKeys returns the keys of the client transactions in
+// parent and its uncommitted ancestors, or nil when parent is
+// committed. Those transactions commit with the new block, so it must
+// not carry them again — yet they are still pending in this node's
+// pool whenever another leader proposed them (or a DECIDE was lost),
+// and the pool's done-set only knows committed transactions. The walk
+// is as long as the uncommitted chain: at most the pipeline depth in
+// steady state, zero on the depth-1 fast path.
+func (r *Replica) uncommittedTxKeys(parent *types.Block) map[types.TxKey]struct{} {
+	var keys map[types.TxKey]struct{}
+	committed := r.store.CommittedHeight()
+	for b := parent; b != nil && b.Height > committed && !r.store.IsCommitted(b.Hash()); b = r.store.Get(b.Parent) {
+		for i := range b.Txs {
+			if b.Txs[i].Client.IsSynthetic() {
+				continue
+			}
+			if keys == nil {
+				keys = make(map[types.TxKey]struct{})
+			}
+			keys[b.Txs[i].Key()] = struct{}{}
+		}
+	}
+	return keys
 }
 
 func (r *Replica) onProposal(from types.NodeID, m *MsgProposal) {

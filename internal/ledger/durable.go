@@ -1,10 +1,9 @@
 package ledger
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,8 +27,16 @@ import (
 // refuses to adopt any restored state whose commit certificates do not
 // carry a valid quorum.
 
-// recCommit tags a WAL record holding one committed block.
-const recCommit = byte(1)
+// Record kinds: the first byte of every WAL record payload. Kinds are
+// part of the on-disk format: never reuse or renumber one.
+const (
+	// recCommitGob was the gob-coded commit record of builds that
+	// predate the binary codec. It is recognised only to be refused.
+	recCommitGob = byte(1)
+	// recCommit is the binary commit record:
+	// [kind][u64 Epoch][Block][CommitCert] (types/wirefast.go layouts).
+	recCommit = byte(2)
+)
 
 // snapKeep is how many snapshot generations are retained; the WAL is
 // pruned only below the oldest retained one, so a damaged newest
@@ -38,8 +45,28 @@ const snapKeep = 2
 
 const (
 	snapPrefix = "snap-"
-	snapSuffix = ".snap"
+	snapSuffix = ".bsnap"
+	// legacySnapSuffix names the gob snapshots of builds that predate
+	// the binary codec; a data directory holding one is refused.
+	legacySnapSuffix = ".snap"
 )
+
+// Snapshot blob layout: snapMagic, the version byte, the body, and a
+// CRC32-Castagnoli trailer over everything before it. The checksum
+// tells a damaged file (skipped in favour of an older generation) from
+// a readable one; the version byte tells a readable file this build
+// cannot interpret (refused).
+const (
+	snapMagic   = "ACHSNAP"
+	snapVersion = byte(2)
+	// maxSnapMachine bounds the serialized state machine (the snapshot
+	// transfer's chunk bounds allow 1 GiB in total).
+	maxSnapMachine = 1 << 30
+	// maxSnapLineage bounds the epoch-transition proofs in a snapshot.
+	maxSnapLineage = 1 << 10
+)
+
+var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // CommitRecord is one durably logged commit. CC is the commit
 // certificate that committed this block; it is carried only on the
@@ -69,10 +96,8 @@ type Snapshot struct {
 	WalSeq uint64
 	// Epoch and Member pin the configuration in force at the snapshot
 	// tip; Pending carries a committed-but-not-yet-active reconfiguration
-	// so a restart re-arms its activation. All three are gob-additive:
-	// snapshots written before reconfiguration existed decode with
-	// Epoch 0 and nil memberships, which restores interpret as the
-	// boot configuration.
+	// so a restart re-arms its activation. Epoch 0 with nil memberships
+	// means the boot configuration.
 	Epoch   types.Epoch
 	Member  *types.Membership
 	Pending *types.Membership
@@ -81,28 +106,65 @@ type Snapshot struct {
 	// snapshot's verifies them hop by hop (each hop's certificate signs
 	// under the previous epoch's ring) instead of rejecting the snapshot
 	// outright — without it, a node that slept through a reconfiguration
-	// past its peers' pruning horizon could never rejoin. Gob-additive:
-	// older snapshots decode with a nil lineage.
+	// past its peers' pruning horizon could never rejoin.
 	Lineage []*types.EpochTransition
 }
 
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("ledger: encoding snapshot: %w", err)
+	b := append([]byte(snapMagic), snapVersion)
+	b = types.WireAppendU64(b, uint64(s.Height))
+	b = types.AppendWireBlock(b, s.Block)
+	b = types.AppendWireCommitCert(b, s.CC)
+	b = types.WireAppendBytes(b, s.Machine)
+	b = types.WireAppendU64(b, s.WalSeq)
+	b = types.WireAppendU64(b, uint64(s.Epoch))
+	b = types.AppendWireMembership(b, s.Member)
+	b = types.AppendWireMembership(b, s.Pending)
+	b = types.WireAppendU32(b, uint32(len(s.Lineage)))
+	for _, t := range s.Lineage {
+		b = types.AppendWireEpochTransition(b, t)
 	}
-	return buf.Bytes(), nil
+	return types.WireAppendU32(b, crc32.Checksum(b, snapCRC)), nil
 }
 
 // DecodeSnapshot parses and structurally validates a snapshot blob.
 // It checks internal consistency (block present, certificate bound to
 // the block, heights agree) but NOT certificate signatures — the
-// consensus core must verify the quorum before adopting the state.
+// consensus core must verify the quorum before adopting the state. An
+// intact blob of another format version fails with
+// types.ErrUnsupportedRecord.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("ledger: decoding snapshot: %w", err)
+	const head = len(snapMagic) + 1
+	if len(data) < head+4 || string(data[:len(snapMagic)]) != snapMagic {
+		return nil, errors.New("ledger: damaged snapshot: bad magic")
+	}
+	body, sum := data[:len(data)-4], data[len(data)-4:]
+	if crc32.Checksum(body, snapCRC) != types.NewWireReader(sum).U32() {
+		return nil, errors.New("ledger: damaged snapshot: checksum mismatch")
+	}
+	if v := data[len(snapMagic)]; v != snapVersion {
+		return nil, fmt.Errorf("ledger: snapshot version %d: %w", v, types.ErrUnsupportedRecord)
+	}
+	r := types.NewWireReader(body[head:])
+	s := Snapshot{
+		Height:  types.Height(r.U64()),
+		Block:   types.ReadWireBlock(r),
+		CC:      types.ReadWireCommitCert(r),
+		Machine: r.Bytes(maxSnapMachine),
+		WalSeq:  r.U64(),
+		Epoch:   types.Epoch(r.U64()),
+		Member:  types.ReadWireMembership(r),
+		Pending: types.ReadWireMembership(r),
+	}
+	if n := r.Count(maxSnapLineage, 1); n > 0 {
+		s.Lineage = make([]*types.EpochTransition, n)
+		for i := range s.Lineage {
+			s.Lineage[i] = types.ReadWireEpochTransition(r)
+		}
+	}
+	if r.Err() || r.Len() != 0 {
+		return nil, errors.New("ledger: damaged snapshot: malformed body")
 	}
 	if s.Block == nil || s.CC == nil {
 		return nil, errors.New("ledger: snapshot missing block or certificate")
@@ -193,7 +255,9 @@ type Durable struct {
 
 // OpenDurable opens the data directory, repairs a torn WAL tail,
 // loads the newest intact snapshot and chains the WAL suffix after
-// it. Corruption of previously durable state fails with wal.ErrCorrupt.
+// it. Corruption of previously durable state fails with wal.ErrCorrupt;
+// records or snapshots in a format this build does not read (those of
+// pre-binary-codec builds) fail with types.ErrUnsupportedRecord.
 func OpenDurable(opts DurableOptions) (*Durable, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("ledger: DurableOptions.Dir is required")
@@ -215,6 +279,10 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	d.registerMetrics(opts.Obs)
 
 	rec := &Recovered{WalInfo: log.Info()}
+	if err := refuseLegacySnapshots(opts.Dir); err != nil {
+		log.Close()
+		return nil, err
+	}
 	if !opts.IgnoreSnapshots {
 		rec.Snapshot, rec.BadSnapshots, err = loadNewestSnapshot(opts.Dir)
 		if err != nil {
@@ -234,6 +302,9 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	tip := base
 	err = log.Replay(from, func(seq uint64, payload []byte) error {
 		cr, derr := decodeCommitRecord(payload)
+		if errors.Is(derr, types.ErrUnsupportedRecord) {
+			return fmt.Errorf("ledger: WAL seq %d: %w", seq, derr)
+		}
 		if derr != nil {
 			return fmt.Errorf("%w: WAL seq %d: %v", wal.ErrCorrupt, seq, derr)
 		}
@@ -284,13 +355,12 @@ func (d *Durable) AppendCommit(b *types.Block, cc *types.CommitCert) error {
 	d.mu.Lock()
 	epoch := d.epoch
 	d.mu.Unlock()
-	payload, err := encodeCommitRecord(CommitRecord{Block: b, CC: cc, Epoch: epoch})
-	if err != nil {
-		return err
-	}
+	bp := types.GetWireBuf()
+	*bp = appendCommitRecord(*bp, &CommitRecord{Block: b, CC: cc, Epoch: epoch})
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	seq, err := d.log.Append(payload)
+	seq, err := d.log.Append(*bp)
+	types.PutWireBuf(bp)
 	if err != nil {
 		return err
 	}
@@ -439,22 +509,35 @@ func (d *Durable) registerMetrics(reg *obs.Registry) {
 		})
 }
 
-func encodeCommitRecord(cr CommitRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(recCommit)
-	if err := gob.NewEncoder(&buf).Encode(&cr); err != nil {
-		return nil, fmt.Errorf("ledger: encoding commit record: %w", err)
-	}
-	return buf.Bytes(), nil
+// appendCommitRecord appends the binary commit record to b.
+func appendCommitRecord(b []byte, cr *CommitRecord) []byte {
+	b = append(b, recCommit)
+	b = types.WireAppendU64(b, uint64(cr.Epoch))
+	b = types.AppendWireBlock(b, cr.Block)
+	return types.AppendWireCommitCert(b, cr.CC)
 }
 
+// decodeCommitRecord parses one WAL record payload. The WAL checksum
+// has already vouched for the bytes, so an unknown kind is a format
+// this build does not read (types.ErrUnsupportedRecord), not damage.
 func decodeCommitRecord(payload []byte) (CommitRecord, error) {
 	var cr CommitRecord
-	if len(payload) == 0 || payload[0] != recCommit {
-		return cr, errors.New("unknown record kind")
+	if len(payload) == 0 {
+		return cr, errors.New("empty record")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&cr); err != nil {
-		return cr, err
+	switch kind := payload[0]; kind {
+	case recCommit:
+	case recCommitGob:
+		return cr, fmt.Errorf("gob commit record from a pre-binary build: %w", types.ErrUnsupportedRecord)
+	default:
+		return cr, fmt.Errorf("record kind %d: %w", kind, types.ErrUnsupportedRecord)
+	}
+	r := types.NewWireReader(payload[1:])
+	cr.Epoch = types.Epoch(r.U64())
+	cr.Block = types.ReadWireBlock(r)
+	cr.CC = types.ReadWireCommitCert(r)
+	if r.Err() || r.Len() != 0 {
+		return cr, errors.New("malformed commit record")
 	}
 	if cr.Block == nil {
 		return cr, errors.New("commit record without block")
@@ -466,7 +549,9 @@ func decodeCommitRecord(payload []byte) (CommitRecord, error) {
 }
 
 // loadNewestSnapshot returns the newest snapshot that decodes, along
-// with how many newer generations were skipped as unreadable.
+// with how many newer generations were skipped as damaged. A snapshot
+// in a format this build does not read is never skipped: falling back
+// past it would silently restore older state, so it fails the open.
 func loadNewestSnapshot(dir string) (*Snapshot, int, error) {
 	names, err := listSnapshots(dir)
 	if err != nil {
@@ -480,6 +565,9 @@ func loadNewestSnapshot(dir string) (*Snapshot, int, error) {
 			continue
 		}
 		s, derr := DecodeSnapshot(data)
+		if errors.Is(derr, types.ErrUnsupportedRecord) {
+			return nil, bad, fmt.Errorf("ledger: snapshot %s: %w", names[i], derr)
+		}
 		if derr != nil {
 			bad++
 			continue
@@ -487,6 +575,25 @@ func loadNewestSnapshot(dir string) (*Snapshot, int, error) {
 		return s, bad, nil
 	}
 	return nil, bad, nil
+}
+
+// refuseLegacySnapshots fails when the data directory holds a snapshot
+// written by a build that predates the binary codec.
+func refuseLegacySnapshots(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("ledger: %w", err)
+	}
+	for _, e := range ents {
+		if n := e.Name(); strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, legacySnapSuffix) {
+			return fmt.Errorf("ledger: snapshot %s is a gob snapshot from a pre-binary build: %w",
+				n, types.ErrUnsupportedRecord)
+		}
+	}
+	return nil
 }
 
 func listSnapshots(dir string) ([]string, error) {

@@ -279,7 +279,19 @@ func (p *Pool) Len() int { return len(p.queue) + len(p.prio) }
 // queue; if the block fails to commit they will be retransmitted by
 // the client (or requeued by the proposer via Requeue).
 func (p *Pool) NextBatch(n int, now types.Time) []types.Transaction {
+	return p.NextBatchExcluding(n, now, nil)
+}
+
+// NextBatchExcluding is NextBatch leaving out every transaction whose
+// key is in skip — in practice, those already carried by an
+// uncommitted ancestor of the block being built, which commit with it.
+// Skipped transactions stay queued and pending, in their original
+// order, so a later batch still carries them should that ancestor be
+// abandoned.
+func (p *Pool) NextBatchExcluding(n int, now types.Time, skip map[types.TxKey]struct{}) []types.Transaction {
 	batch := make([]types.Transaction, 0, n)
+	var keptPrio, keptQueue []types.Transaction
+	var keptAt []time.Time
 	// Drain the priority lane first: requeued proposal remnants must
 	// reach a block before fresh client traffic.
 	for len(batch) < n && len(p.prio) > 0 {
@@ -287,6 +299,10 @@ func (p *Pool) NextBatch(n int, now types.Time) []types.Transaction {
 		p.prio = p.prio[1:]
 		if p.done[tx.Key()] {
 			delete(p.pending, tx.Key())
+			continue
+		}
+		if _, ok := skip[tx.Key()]; ok {
+			keptPrio = append(keptPrio, tx)
 			continue
 		}
 		batch = append(batch, tx)
@@ -300,7 +316,8 @@ func (p *Pool) NextBatch(n int, now types.Time) []types.Transaction {
 		tx := p.queue[0]
 		p.queue = p.queue[1:]
 		var at time.Time
-		if len(p.queueAt) > 0 {
+		hasAt := len(p.queueAt) > 0
+		if hasAt {
 			at = p.queueAt[0]
 			p.queueAt = p.queueAt[1:]
 		}
@@ -308,10 +325,26 @@ func (p *Pool) NextBatch(n int, now types.Time) []types.Transaction {
 			delete(p.pending, tx.Key())
 			continue
 		}
+		if _, ok := skip[tx.Key()]; ok {
+			keptQueue = append(keptQueue, tx)
+			if hasAt {
+				keptAt = append(keptAt, at)
+			}
+			continue
+		}
 		batch = append(batch, tx)
 		if p.waitObs != nil && !waited && !at.IsZero() {
 			p.waitObs(time.Since(at))
 			waited = true
+		}
+	}
+	if len(keptPrio) > 0 {
+		p.prio = append(keptPrio, p.prio...)
+	}
+	if len(keptQueue) > 0 {
+		p.queue = append(keptQueue, p.queue...)
+		if len(keptAt) > 0 {
+			p.queueAt = append(keptAt, p.queueAt...)
 		}
 	}
 	if p.synthetic {

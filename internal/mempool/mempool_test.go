@@ -119,3 +119,34 @@ func TestMarkCommittedSkipsSynthetic(t *testing.T) {
 		t.Fatalf("synthetic txs tracked in done set: %d", len(p.done))
 	}
 }
+
+// TestNextBatchExcludingKeepsSkippedPending: transactions in the skip
+// set are left out of the batch but stay queued, in order, in both the
+// ordinary queue and the priority lane, so a later batch carries them
+// once they are no longer excluded; duplicates of them stay refused.
+func TestNextBatchExcludingKeepsSkippedPending(t *testing.T) {
+	c := types.ClientIDBase
+	p := New()
+	p.Add([]types.Transaction{tx(c, 1), tx(c, 2), tx(c, 3), tx(c, 4)}, 0)
+	p.Requeue([]types.Transaction{tx(c, 9), tx(c, 8)})
+	skip := map[types.TxKey]struct{}{{Client: c, Seq: 9}: {}, {Client: c, Seq: 2}: {}, {Client: c, Seq: 3}: {}}
+	keys := func(txs []types.Transaction) []uint32 {
+		var out []uint32
+		for _, tx := range txs {
+			out = append(out, tx.Seq)
+		}
+		return out
+	}
+	if got := keys(p.NextBatchExcluding(2, 0, skip)); len(got) != 2 || got[0] != 8 || got[1] != 1 {
+		t.Fatalf("first batch = %v, want [8 1]", got)
+	}
+	if p.Len() != 4 {
+		t.Fatalf("Len = %d, want 4 (skipped transactions stay pending)", p.Len())
+	}
+	if res := p.Add([]types.Transaction{tx(c, 2)}, 0); res.Duplicates != 1 {
+		t.Fatal("a skipped transaction was forgotten by the dedup set")
+	}
+	if got := keys(p.NextBatch(10, 0)); len(got) != 4 || got[0] != 9 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("second batch = %v, want [9 2 3 4]", got)
+	}
+}

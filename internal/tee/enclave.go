@@ -17,8 +17,6 @@
 package tee
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -78,6 +76,9 @@ type Enclave struct {
 	prev       *Sealer
 	epoch      atomic.Uint64
 	configHash atomic.Value // types.Hash
+	// epochErr records an authenticated epoch marker that failed to
+	// decode at enclave creation (see EpochMarkerErr).
+	epochErr   error
 	disabled   bool
 	observe    func(fn string)
 	observeDur func(fn string, d time.Duration)
@@ -170,11 +171,38 @@ type epochMarker struct {
 	ConfigHash types.Hash
 }
 
+// epochMarkerKind is the sealed epoch marker's record kind (the gob
+// marker of pre-binary-codec builds had no kind byte). Layout:
+// [kind][u64 Epoch][32-byte ConfigHash].
+const epochMarkerKind = byte(2)
+
+func (m *epochMarker) encode() []byte {
+	b := make([]byte, 0, 1+8+32)
+	b = append(b, epochMarkerKind)
+	b = types.WireAppendU64(b, m.Epoch)
+	return types.WireAppendHash(b, m.ConfigHash)
+}
+
+func decodeEpochMarker(blob []byte) (epochMarker, error) {
+	var m epochMarker
+	if len(blob) == 0 || blob[0] != epochMarkerKind {
+		return m, fmt.Errorf("tee: sealed epoch marker: %w", types.ErrUnsupportedRecord)
+	}
+	r := types.NewWireReader(blob[1:])
+	m.Epoch, m.ConfigHash = r.U64(), r.Hash()
+	if r.Err() || r.Len() != 0 {
+		return m, fmt.Errorf("tee: sealed epoch marker: %w", types.ErrUnsupportedRecord)
+	}
+	return m, nil
+}
+
 // restoreEpoch re-derives the epoch-bound sealing keys from the sealed
 // epoch marker at enclave (re-)creation. A missing or corrupt marker
 // leaves the enclave at epoch 0; a rolled-back marker yields old-epoch
 // keys under which current blobs fail loudly with StaleEpochError —
-// detectable, never silently decoded.
+// detectable, never silently decoded. An authenticated marker that
+// does not decode also leaves epoch 0, and is reported by
+// EpochMarkerErr so the host can distrust its sealed state.
 func (e *Enclave) restoreEpoch() {
 	sealed := e.store.Get(epochMarkerName)
 	if sealed == nil {
@@ -185,8 +213,9 @@ func (e *Enclave) restoreEpoch() {
 		e.unsealFail.Add(1)
 		return
 	}
-	var m epochMarker
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&m); err != nil {
+	m, err := decodeEpochMarker(blob)
+	if err != nil {
+		e.epochErr = err
 		return
 	}
 	e.epoch.Store(m.Epoch)
@@ -210,18 +239,24 @@ func (e *Enclave) AdvanceEpoch(epoch uint64, configHash types.Hash) error {
 	if epoch <= cur {
 		return fmt.Errorf("tee: epoch %d does not advance current epoch %d", epoch, cur)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&epochMarker{Epoch: epoch, ConfigHash: configHash}); err != nil {
-		return err
-	}
+	m := epochMarker{Epoch: epoch, ConfigHash: configHash}
 	e.seals.Add(1)
-	e.store.Put(epochMarkerName, e.base.Seal(buf.Bytes()))
+	e.store.Put(epochMarkerName, e.base.Seal(m.encode()))
+	e.epochErr = nil
 	e.prev = e.sealer
 	e.sealer = NewSealerAt(e.machineSecret, e.measurement, epoch)
 	e.epoch.Store(epoch)
 	e.configHash.Store(configHash)
 	return nil
 }
+
+// EpochMarkerErr reports an epoch marker that authenticated at enclave
+// creation but could not be decoded (types.ErrUnsupportedRecord) —
+// sealed by a build with another format. The enclave then runs at
+// epoch 0, so blobs sealed under a later epoch key are unreadable;
+// callers must treat their sealed state as untrustworthy rather than
+// absent. Nil once an AdvanceEpoch has sealed a readable marker.
+func (e *Enclave) EpochMarkerErr() error { return e.epochErr }
 
 // Epoch returns the configuration epoch the enclave's sealing key is
 // bound to.

@@ -241,3 +241,35 @@ func TestRotationAtomicAcrossKill(t *testing.T) {
 		t.Fatalf("rollback stale epochs = %d/%d, want 2/1", stale.BlobEpoch, stale.SealerEpoch)
 	}
 }
+
+// TestUndecodableEpochMarkerReported: an authenticated epoch marker
+// this build cannot decode (the gob marker of builds that predate the
+// binary codec) is not read as "no marker" silently: the enclave stays
+// at epoch 0 and reports it through EpochMarkerErr until a readable
+// marker is sealed. A readable marker round-trips exactly.
+func TestUndecodableEpochMarkerReported(t *testing.T) {
+	st := NewVersionedStore()
+	e := rotationEnclave(st)
+	if err := e.AdvanceEpoch(2, cfgHash(2)); err != nil {
+		t.Fatal(err)
+	}
+	e = rotationEnclave(st)
+	if e.EpochMarkerErr() != nil || e.Epoch() != 2 || e.EpochConfigHash() != cfgHash(2) {
+		t.Fatalf("readable marker: epoch %d hash %v err %v", e.Epoch(), e.EpochConfigHash(), e.EpochMarkerErr())
+	}
+
+	st.Put(epochMarkerName, e.base.Seal([]byte("\x2f\xff\x81\x03\x01\x01\x0bepochMarker")))
+	e = rotationEnclave(st)
+	if !errors.Is(e.EpochMarkerErr(), types.ErrUnsupportedRecord) {
+		t.Fatalf("undecodable marker: EpochMarkerErr = %v, want ErrUnsupportedRecord", e.EpochMarkerErr())
+	}
+	if e.Epoch() != 0 {
+		t.Fatalf("undecodable marker: epoch = %d, want 0", e.Epoch())
+	}
+	if err := e.AdvanceEpoch(3, cfgHash(3)); err != nil {
+		t.Fatal(err)
+	}
+	if e.EpochMarkerErr() != nil {
+		t.Fatal("EpochMarkerErr survives a freshly sealed marker")
+	}
+}

@@ -86,8 +86,9 @@ func TestLocalPeers(t *testing.T) {
 }
 
 func TestBlockMessageRoundtrip(t *testing.T) {
-	// Blocks carry unexported cache fields; gob must still roundtrip
-	// the visible state and the hash must recompute identically.
+	// Blocks carry unexported cache fields; the codec must still
+	// roundtrip the visible state and the hash must recompute
+	// identically.
 	blk := &types.Block{
 		Txs:      []types.Transaction{{Client: 1, Seq: 2, Payload: []byte("xyz")}},
 		Op:       []byte{9},

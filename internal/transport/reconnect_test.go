@@ -20,7 +20,16 @@ type seqMsg struct{ Seq uint64 }
 func (*seqMsg) Type() string { return "test/seq" }
 func (*seqMsg) Size() int    { return 8 }
 
-func init() { transport.RegisterMessages(&seqMsg{}) }
+// seqMsgTag is a test-range wire tag (0xf0–0xff are reserved for tests).
+const seqMsgTag byte = 0xf0
+
+func (*seqMsg) WireTag() byte                { return seqMsgTag }
+func (m *seqMsg) AppendWire(b []byte) []byte { return types.WireAppendU64(b, m.Seq) }
+
+func init() {
+	types.RegisterWire(seqMsgTag, func(r *types.WireReader) types.Message { return &seqMsg{Seq: r.U64()} })
+	transport.RegisterMessages(&seqMsg{})
+}
 
 // recorder is a protocol.Replica that records which seqMsg sequence
 // numbers it saw and how often.

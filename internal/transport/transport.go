@@ -1,7 +1,8 @@
 // Package transport is the live-network runtime: it drives the same
 // protocol replicas the simulator runs, but over real TCP connections
-// (stdlib net) with length-prefixed gob frames — the deployment path
-// used by cmd/achilles-node, cmd/achilles-client and the examples.
+// (stdlib net) with length-prefixed frames in the binary codec of
+// types/wirefast.go (see frame.go) — the deployment path used by
+// cmd/achilles-node, cmd/achilles-client and the examples.
 //
 // Concurrency model: all replica callbacks run on a single event-loop
 // goroutine per Runtime, matching the single-threaded contract of
@@ -62,8 +63,7 @@ type Hello struct {
 	// unauthenticated deployments (no Ring configured).
 	Sig types.Signature
 	// Epoch and ConfigHash advertise the dialer's active configuration
-	// epoch (gob-additive; zero from pre-reconfiguration builds and
-	// clients). Epochs may legitimately differ by the activation skew of
+	// epoch (zero from clients). Epochs may legitimately differ by the activation skew of
 	// a rolling upgrade, but two replicas claiming the SAME nonzero
 	// epoch under different config hashes have diverged and the
 	// connection is refused.

@@ -33,10 +33,10 @@ func testProposal() *core.MsgProposal {
 	}
 }
 
-// TestFastFrameRoundTrip pins the pooled binary codec: the hot
-// messages take the fast path (flag bit set in the length word) and
-// every field survives the round trip exactly; cold messages stay on
-// gob with the flag clear.
+// TestFastFrameRoundTrip pins the pooled binary codec on the hot
+// messages: the binary-codec marker is set in the length word and
+// every field survives the round trip exactly. The per-tag table in
+// codec_test.go covers every other message.
 func TestFastFrameRoundTrip(t *testing.T) {
 	sig := bytes.Repeat([]byte{0xab}, 71)
 	h := types.HashBytes([]byte("block"))
@@ -55,8 +55,8 @@ func TestFastFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%T: encode: %v", msg, err)
 		}
 		raw := buf.Bytes()
-		if binary.BigEndian.Uint32(raw[:4])&fastFrameFlag == 0 {
-			t.Fatalf("%T: hot message did not take the fast path", msg)
+		if binary.BigEndian.Uint32(raw[:4])&binaryFrameFlag == 0 {
+			t.Fatalf("%T: frame lacks the binary-codec marker", msg)
 		}
 		from, got, n, err := ReadFrame(bytes.NewReader(raw))
 		if err != nil {
@@ -78,13 +78,13 @@ func TestFastFrameRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A cold message keeps the gob envelope.
+	// Former gob-path messages take the same binary envelope now.
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, 3, &types.BlockRequest{Hash: h, From: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if binary.BigEndian.Uint32(buf.Bytes()[:4])&fastFrameFlag != 0 {
-		t.Fatal("cold message took the fast path")
+	if binary.BigEndian.Uint32(buf.Bytes()[:4])&binaryFrameFlag == 0 {
+		t.Fatal("block request frame lacks the binary-codec marker")
 	}
 }
 
@@ -94,7 +94,7 @@ func TestFastFrameRoundTrip(t *testing.T) {
 func TestFastFrameGarbageIsSkippable(t *testing.T) {
 	mk := func(body []byte) []byte {
 		out := make([]byte, 4+len(body))
-		binary.BigEndian.PutUint32(out[:4], uint32(len(body))|fastFrameFlag)
+		binary.BigEndian.PutUint32(out[:4], uint32(len(body))|binaryFrameFlag)
 		copy(out[4:], body)
 		return out
 	}
@@ -107,14 +107,14 @@ func TestFastFrameGarbageIsSkippable(t *testing.T) {
 	valid := okFrame.Bytes()
 
 	cases := [][]byte{
-		mk(nil),                       // empty body
-		mk([]byte{1, 2, 3}),           // truncated header
-		mk(append(make([]byte, 12), 0xEE)), // unknown tag
+		mk(nil),                                   // empty body
+		mk([]byte{1, 2, 3}),                       // truncated header
+		mk(append(make([]byte, 12), 0xEE)),        // unknown tag
 		append([]byte{}, valid[:len(valid)-1]...), // truncated last byte — handled below
 	}
 	// Truncated-body case: shorten the length word to cut the sig.
 	trunc := append([]byte{}, valid...)
-	binary.BigEndian.PutUint32(trunc[:4], uint32(len(valid)-4-2)|fastFrameFlag)
+	binary.BigEndian.PutUint32(trunc[:4], uint32(len(valid)-4-2)|binaryFrameFlag)
 	cases[3] = trunc[:len(trunc)-2]
 
 	for i, bad := range cases {

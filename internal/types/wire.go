@@ -6,8 +6,9 @@ import (
 )
 
 // This file is the structural validation layer for everything that
-// crosses a network boundary. Gob decoding guarantees only that bytes
-// parsed into the right shapes; it says nothing about whether a peer
+// crosses a network boundary. The binary codec (wirefast.go) guarantees
+// only that bytes parsed into the right shapes within its length
+// bounds; it says nothing about whether a peer
 // sent a certificate with a megabyte "signature", a commit certificate
 // whose signer and signature lists disagree in length, or a block
 // claiming 2^40 transactions. Every such field is attacker-controlled
@@ -265,6 +266,20 @@ func (m *ClientReply) ValidateWire() error {
 		return wireErr("client reply: %d tx keys exceed %d", len(m.TxKeys), MaxWireTxKeys)
 	}
 	return checkSigner("client reply", m.From)
+}
+
+// ValidateWire implements WireValidator.
+func (m *ClientRetry) ValidateWire() error {
+	if m == nil {
+		return wireErr("client retry: nil")
+	}
+	if len(m.TxKeys) > MaxWireTxKeys {
+		return wireErr("client retry: %d tx keys exceed %d", len(m.TxKeys), MaxWireTxKeys)
+	}
+	if m.Reason > RetryRateLimited {
+		return wireErr("client retry: unknown reason %d", m.Reason)
+	}
+	return checkSigner("client retry", m.From)
 }
 
 // ValidateWire implements WireValidator.
