@@ -6,8 +6,8 @@ package core
 // every frame sent while handling the proposal's messages carries it,
 // and records the spans that attribute the commit path:
 //
-//	client-admit → mempool-wait → batch → propose → ingress-verify
-//	   → quorum-assembly → tee-ecall → commit → execute → egress-reply
+//	mempool-wait → batch → propose → quorum-assembly → tee-ecall
+//	   → commit → execute → egress-reply
 //
 // The leader-path trio propose / quorum-assembly / commit is measured
 // on the env clock (the same clock as achilles_commit_latency_seconds)

@@ -5,11 +5,10 @@ package core
 // (checker, ledger, mempool, pacemaker, the stash maps). Every function
 // here runs on the single consensus goroutine — OnMessage/OnTimer are
 // the only entry points, per the protocol.Env contract — which is what
-// lets the bodies stay lock-free. The stateless counterpart (signature
-// and certificate verification that may run on ingress workers) lives
-// in verify.go; post-commit observer work and client replies are handed
-// to the configured scheduler (internal/sched) at the bottom of
-// handleCC.
+// lets the bodies stay lock-free. Signature and certificate checks run
+// inline in the handlers; post-commit observer work and client replies
+// are handed to the scheduler's execute and egress stages
+// (internal/sched) at the bottom of handleCC.
 
 import (
 	"bytes"
@@ -186,21 +185,12 @@ func (r *Replica) OnMessage(from types.NodeID, msg types.Message) {
 			// node never leads (stable-view pipelining): forward once,
 			// before ordinary admission (epoch.go).
 			r.forwardReconfigTxs(m.Txs)
-			// On the pooled live path the ingress stage staged this
-			// message's transactions off-loop (core.Verifier), applying
-			// admission there; draining admits everything staged so far
-			// in one batch. A message whose transactions were already
-			// drained by an earlier step falls through to Add, where the
-			// dedup maps drop them. On the inline path nothing ever
-			// stages, so DrainStaged is always 0 and the behavior is the
-			// historical Add — now with admission control when
-			// configured, answering rejections with explicit RETRY-AFTER
-			// backpressure instead of silent queue growth.
-			if r.pool.DrainStaged() == 0 {
-				res := r.pool.Add(m.Txs, r.env.Now())
-				if res.Rejected() > 0 {
-					r.sendRetries(res)
-				}
+			// Admission control (when configured) answers rejections
+			// with explicit RETRY-AFTER backpressure instead of silent
+			// queue growth.
+			res := r.pool.Add(m.Txs, r.env.Now())
+			if res.Rejected() > 0 {
+				r.sendRetries(res)
 			}
 			r.tryPropose()
 		}
@@ -524,32 +514,6 @@ func (r *Replica) refillWindow() {
 	}
 }
 
-// batchSize returns the proposer's batch budget for the next block:
-// the fixed BatchSize, or — with AdaptiveBatch — a budget that follows
-// the mempool depth, split across the window slots still open so a
-// deep pipeline spreads the backlog over its in-flight heights instead
-// of proposing one huge block and empty successors.
-func (r *Replica) batchSize() int {
-	if !r.cfg.AdaptiveBatch {
-		return r.cfg.BatchSize
-	}
-	lo, hi := r.cfg.AdaptiveBatchMin, r.cfg.AdaptiveBatchMax
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi <= 0 {
-		hi = 4 * r.cfg.BatchSize
-	}
-	if hi < lo {
-		hi = lo
-	}
-	n := r.pool.Len()
-	if open := r.cfg.PipelineDepth - len(r.rounds); open > 1 {
-		n = (n + open - 1) / open
-	}
-	return min(max(n, lo), hi)
-}
-
 // propose creates, certifies and broadcasts a block extending
 // parentHash, justified by exactly one of acc and cc (Algorithm 1,
 // propose function) — or, when both are nil, by the checker's chained
@@ -569,7 +533,7 @@ func (r *Replica) propose(parentHash types.Hash, acc *types.AccCert, cc *types.C
 	if ctx.Sampled {
 		batchT0 = time.Now()
 	}
-	txs := r.pool.NextBatchExcluding(r.batchSize(), r.env.Now(), r.uncommittedTxKeys(parent))
+	txs := r.pool.NextBatchExcluding(r.cfg.BatchSize, r.env.Now(), r.uncommittedTxKeys(parent))
 	var clientTxs []types.Transaction
 	for i := range txs {
 		if !txs[i].Client.IsSynthetic() {
@@ -859,17 +823,16 @@ func (r *Replica) handleCC(cc *types.CommitCert, from types.NodeID) {
 		// a chained commit retires every ancestor's round with it.
 		delete(r.rounds, nb.Hash())
 		// Post-commit observer work (execute stage) and client replies
-		// (egress stage) leave the consensus goroutine here. Under the
-		// Sync scheduler both run inline, reproducing the historical
-		// effect order exactly; under Pooled they run on ordered workers
-		// so a slow commit observer or client socket never stalls the
-		// next consensus step. MarkCommitted stays inline: the mempool's
-		// dedup maps belong to the consensus goroutine.
+		// (egress stage) are handed to the scheduler here. sched.Sync
+		// runs both inline, reproducing the historical effect order
+		// exactly. MarkCommitted is never staged: the mempool's dedup
+		// maps belong to the consensus goroutine.
 		execTask := r.spanWrap(tctx, obs.StageExecute, cc.View, nb.Height,
 			func() { r.env.Commit(nb, cc) })
 		if hs, ok := r.sched.(sched.HeightSequencer); ok {
-			// Height-tagged: the scheduler checks the pipelined commits
-			// reach its execute lane in increasing height order.
+			// Height-tagged, so a scheduler (or a wrapper metering it)
+			// can see the pipelined commits reach its execute lane in
+			// increasing height order.
 			hs.ExecuteAt(nb.Height, execTask)
 		} else {
 			r.sched.Execute(execTask)
@@ -1066,4 +1029,17 @@ func (r *Replica) resumeStashed(from types.NodeID) {
 	}
 	r.replayStashedProposals()
 	r.tryPropose()
+}
+
+// verifyViewCert checks a view certificate's signature host-side (our
+// own certificates need no re-verification).
+func (r *Replica) verifyViewCert(vc *types.ViewCert) bool {
+	if vc.Signer == r.cfg.Self {
+		return true
+	}
+	if r.svc.Verify(vc.Signer, types.ViewCertPayload(vc.PrepHash, vc.PrepView, vc.PrepHeight, vc.CurView), vc.Sig) {
+		return true
+	}
+	r.m.badViewCerts.Inc()
+	return false
 }

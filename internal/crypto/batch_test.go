@@ -7,6 +7,12 @@ import (
 	"achilles/internal/types"
 )
 
+// countingMeter counts Charge calls, one per modelled verification.
+type countingMeter struct{ n int }
+
+func (m *countingMeter) Charge(time.Duration) { m.n++ }
+func (m *countingMeter) charges() int         { return m.n }
+
 func ecdsaFixture(t *testing.T, n int) (*KeyRing, []PrivateKey, []PublicKey) {
 	t.Helper()
 	scheme := ECDSAScheme{}
@@ -77,66 +83,10 @@ func TestECDSABatchVerify(t *testing.T) {
 	}
 }
 
-// TestVerifyQuorumBatchUsesBatchPath pins the satellite fix: a
-// batch-verified quorum charges the meter once and warms the cache
-// for every member signature, so the inline per-signature paths that
-// re-check a member later (vote handling, the checker) hit the cache
-// instead of paying a second full verification.
-func TestVerifyQuorumBatchUsesBatchPath(t *testing.T) {
-	scheme := ECDSAScheme{}
-	ring, privs, _ := ecdsaFixture(t, 4)
-	meter := &countingMeter{}
-	svc := NewService(scheme, ring, privs[0], 0, meter, Costs{Verify: time.Microsecond})
-	svc.SetCache(NewCertCache(64))
-
-	msg := []byte("decide payload")
-	signers := []types.NodeID{0, 1, 2, 3}
-	sigs := make([]types.Signature, len(signers))
-	for i := range signers {
-		sigs[i] = scheme.Sign(privs[i], msg)
-	}
-
-	if !svc.VerifyQuorum(signers, msg, sigs) {
-		t.Fatal("quorum batch verify failed")
-	}
-	if got := meter.charges(); got != 1 {
-		t.Fatalf("batched quorum charged %d verifications, want 1", got)
-	}
-	// Every member signature is now warm: individual re-verification
-	// must not charge again.
-	for i, id := range signers {
-		if !svc.Verify(id, msg, sigs[i]) {
-			t.Fatalf("member %d re-verify failed", id)
-		}
-		if got := meter.charges(); got != 1 {
-			t.Fatalf("member %d re-verify charged (total %d, want 1)", i, got)
-		}
-	}
-	// The whole-quorum digest is warm too.
-	if !svc.VerifyQuorum(signers, msg, sigs) {
-		t.Fatal("cached quorum verify failed")
-	}
-	if got := meter.charges(); got != 1 {
-		t.Fatalf("cached quorum re-charged (total %d, want 1)", got)
-	}
-
-	// A corrupted member falls back to the per-signature path and the
-	// certificate is rejected; nothing new is cached for the bad tuple.
-	bad := append(types.Signature{}, sigs[3]...)
-	bad[len(bad)-1] ^= 1
-	if svc.VerifyQuorum(signers, msg, []types.Signature{sigs[0], sigs[1], sigs[2], bad}) {
-		t.Fatal("corrupted quorum accepted")
-	}
-	if svc.Verify(3, msg, bad) {
-		t.Fatal("corrupted member signature accepted after fallback")
-	}
-}
-
-// TestVerifyQuorumBatchSimPathUnchanged: without a cache (the
-// simulator configuration) the quorum check must keep the historical
-// per-signature charge sequence — batching is live-only because a
-// collapsed charge would shift virtual time and break deterministic
-// replay.
+// TestVerifyQuorumBatchSimPathUnchanged: a quorum check keeps the
+// historical per-signature charge sequence even for a scheme that can
+// batch — a collapsed charge would shift the simulator's virtual time
+// and break deterministic replay.
 func TestVerifyQuorumBatchSimPathUnchanged(t *testing.T) {
 	scheme := ECDSAScheme{}
 	ring, privs, _ := ecdsaFixture(t, 3)

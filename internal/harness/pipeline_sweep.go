@@ -9,19 +9,16 @@ import (
 
 	"achilles/internal/core"
 	"achilles/internal/crypto"
-	"achilles/internal/mempool"
 	"achilles/internal/netchaos"
 	"achilles/internal/obs"
 	"achilles/internal/protocol"
-	"achilles/internal/sched"
 	"achilles/internal/transport"
 	"achilles/internal/types"
 )
 
-// SchedAblationRow is one scheduler configuration's measured saturated
-// throughput on a live loopback TCP cluster.
-type SchedAblationRow struct {
-	Sched      string  `json:"sched"`
+// PipelineRow is one pipeline depth's measured saturated throughput on
+// a live loopback TCP cluster.
+type PipelineRow struct {
 	Depth      int     `json:"pipeline_depth"`
 	Nodes      int     `json:"nodes"`
 	Batch      int     `json:"batch"`
@@ -31,16 +28,15 @@ type SchedAblationRow struct {
 	Txs        uint64  `json:"txs"`
 	TPSk       float64 `json:"tps_k"`
 	BlocksPerS float64 `json:"blocks_per_s"`
-	CacheHits  uint64  `json:"cache_hits"`
 }
 
-var ablationRegisterOnce sync.Once
+var liveRegisterOnce sync.Once
 
 // registerLiveMessages registers the consensus message set with the
 // transport codec, once per process. Every live-cluster entry point
-// (scheduler ablation, open-loop runs) calls it before booting nodes.
+// (pipeline sweep, open-loop runs) calls it before booting nodes.
 func registerLiveMessages() {
-	ablationRegisterOnce.Do(func() {
+	liveRegisterOnce.Do(func() {
 		transport.RegisterMessages(
 			&core.MsgNewView{}, &core.MsgProposal{}, &core.MsgVote{},
 			&core.MsgDecide{}, &core.MsgRecoveryReq{}, &core.MsgRecoveryRpy{},
@@ -48,46 +44,39 @@ func registerLiveMessages() {
 	})
 }
 
-// AblationDepths are the chained-pipelining windows the scheduler
-// ablation sweeps: depth 1 is the classic lock-step protocol, deeper
+// PipelineDepths are the chained-pipelining windows the pipeline
+// sweep measures: depth 1 is the classic lock-step protocol, deeper
 // windows keep that many heights in flight.
-var AblationDepths = []int{1, 2, 4, 8}
+var PipelineDepths = []int{1, 2, 4, 8}
 
-// SchedAblation measures the live hot path end to end under the two
-// schedulers achilles-node ships: Sync (inline single-threaded stages,
-// no verified-cert cache — the historical behavior) and Pooled
-// (ingress verify pool + cert cache + async execute/egress), each
-// crossed with the chained-pipelining depths in AblationDepths. Unlike
-// every other experiment in this package it does NOT run on the
-// simulator: it boots a real n-node TCP loopback cluster per
-// configuration with real ECDSA signatures and synthetic load, warms
-// it up, and counts commits on one node over the measurement window.
-// basePort spaces the clusters apart so lingering TIME_WAIT sockets
-// from one run cannot collide with the next.
-func SchedAblation(n, basePort int, d Durations) []SchedAblationRow {
+// PipelineSweep measures the live hot path end to end at each
+// chained-pipelining depth in PipelineDepths. Unlike every other
+// experiment in this package it does NOT run on the simulator: it boots
+// a real n-node TCP loopback cluster per depth with real ECDSA
+// signatures and synthetic load, warms it up, and counts commits on one
+// node over the measurement window. basePort spaces the clusters apart
+// so lingering TIME_WAIT sockets from one run cannot collide with the
+// next.
+func PipelineSweep(n, basePort int, d Durations) []PipelineRow {
 	registerLiveMessages()
-	rows := make([]SchedAblationRow, 0, 2*len(AblationDepths))
-	i := 0
-	for _, name := range []string{"sync", "pooled"} {
-		for _, depth := range AblationDepths {
-			row, _ := runSchedConfig(name, depth, n, basePort+100*i, d, nil, 0)
-			rows = append(rows, row)
-			i++
-		}
+	rows := make([]PipelineRow, 0, len(PipelineDepths))
+	for i, depth := range PipelineDepths {
+		row, _ := runLiveCluster(depth, n, basePort+100*i, d, nil, 0)
+		rows = append(rows, row)
 	}
 	return rows
 }
 
-// runSchedConfig boots one live loopback cluster under the named
-// scheduler at the given chained-pipelining depth and measures its
-// saturated synthetic throughput. A non-nil chaos wraps every link, so
+// runLiveCluster boots one live loopback cluster at the given
+// chained-pipelining depth and measures its saturated synthetic
+// throughput. A non-nil chaos wraps every link, so
 // the measurement reflects the same network profile as whatever the
 // caller compares it against. spanEvery > 0 additionally wires a
 // per-node span tracer at that sampling rate (1 = every trace) and
 // returns the tracers alongside the row, so the trace-breakdown bench
 // can harvest stage attribution after the run; 0 leaves tracing
 // disabled, which is the throughput baseline.
-func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos *netchaos.Chaos, spanEvery int) (SchedAblationRow, []*obs.SpanTracer) {
+func runLiveCluster(depth, n, basePort int, d Durations, chaos *netchaos.Chaos, spanEvery int) (PipelineRow, []*obs.SpanTracer) {
 	registerLiveMessages()
 	if depth < 1 {
 		depth = 1
@@ -109,7 +98,6 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 	peers := transport.LocalPeers(n, basePort)
 
 	var blocks, txs atomic.Uint64
-	caches := make([]*crypto.CertCache, 0, n)
 	runtimes := make([]*transport.Runtime, 0, n)
 	var tracers []*obs.SpanTracer
 	for i := 0; i < n; i++ {
@@ -124,28 +112,6 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 			BatchSize: batch, PayloadSize: payload,
 			BaseTimeout: 500 * time.Millisecond, Seed: seed,
 		}
-		txpool := mempool.NewSynthetic(id, payload)
-
-		// Mirror achilles-node's -sched wiring exactly: sync is the
-		// bare inline scheduler, pooled adds the pre-verifier and the
-		// shared verified-cert cache.
-		var (
-			hot   sched.Scheduler
-			cache *crypto.CertCache
-		)
-		switch schedName {
-		case "pooled":
-			cache = crypto.NewCertCache(crypto.DefaultCertCacheSize)
-			caches = append(caches, cache)
-			verifier := core.NewVerifier(scheme, ring, pcfg, cache)
-			verifier.SetMempool(txpool)
-			pooled := sched.NewPooled(sched.Options{Verify: verifier.PreVerify, Spans: spans})
-			verifier.SetBatchRunner(pooled.RunBatch)
-			hot = pooled
-		default:
-			hot = sched.NewSync()
-		}
-
 		var secret [32]byte
 		secret[0] = byte(id)
 		rep := core.New(core.Config{
@@ -155,9 +121,6 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 			Priv:              privs[id],
 			MachineSecret:     secret,
 			SyntheticWorkload: true,
-			Sched:             hot,
-			CertCache:         cache,
-			Pool:              txpool,
 			Spans:             spans,
 			PipelineDepth:     depth,
 		})
@@ -168,7 +131,6 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 			Scheme: scheme,
 			Ring:   ring,
 			Priv:   privs[id],
-			Sched:  hot,
 		}
 		if chaos != nil {
 			tcfg.Dial = chaos.Dialer(peers[id])
@@ -182,7 +144,7 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 		}
 		rt := transport.New(tcfg, rep)
 		if err := rt.Start(); err != nil {
-			panic(fmt.Sprintf("sched ablation: start node %v (%s): %v", id, schedName, err))
+			panic(fmt.Sprintf("live cluster: start node %v: %v", id, err))
 		}
 		runtimes = append(runtimes, rt)
 	}
@@ -207,12 +169,7 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 	elapsed := time.Since(start)
 	db, dt := blocks.Load()-b0, txs.Load()-t0
 
-	var hits uint64
-	for _, c := range caches {
-		hits += c.Stats().Hits
-	}
-	return SchedAblationRow{
-		Sched:      schedName,
+	return PipelineRow{
 		Depth:      depth,
 		Nodes:      n,
 		Batch:      batch,
@@ -222,16 +179,15 @@ func runSchedConfig(schedName string, depth, n, basePort int, d Durations, chaos
 		Txs:        dt,
 		TPSk:       float64(dt) / elapsed.Seconds() / 1000,
 		BlocksPerS: float64(db) / elapsed.Seconds(),
-		CacheHits:  hits,
 	}, tracers
 }
 
-// PrintSchedRows renders scheduler-ablation rows in the same style as
+// PrintPipelineRows renders pipeline-sweep rows in the same style as
 // PrintRows.
-func PrintSchedRows(w io.Writer, title string, rows []SchedAblationRow) {
+func PrintPipelineRows(w io.Writer, title string, rows []PipelineRow) {
 	fmt.Fprintf(w, "== %s ==\n", title)
 	for _, r := range rows {
-		fmt.Fprintf(w, "sched=%-7s depth=%-2d n=%-3d batch=%-4d payload=%-4d window=%6.0fms blocks=%-5d tps=%7.2fK blocks/s=%6.1f cache-hits=%d\n",
-			r.Sched, r.Depth, r.Nodes, r.Batch, r.Payload, r.WindowMS, r.Blocks, r.TPSk, r.BlocksPerS, r.CacheHits)
+		fmt.Fprintf(w, "depth=%-2d n=%-3d batch=%-4d payload=%-4d window=%6.0fms blocks=%-5d tps=%7.2fK blocks/s=%6.1f\n",
+			r.Depth, r.Nodes, r.Batch, r.Payload, r.WindowMS, r.Blocks, r.TPSk, r.BlocksPerS)
 	}
 }

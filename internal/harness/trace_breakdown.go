@@ -63,16 +63,16 @@ type TraceBreakdownReport struct {
 }
 
 // TraceBreakdown measures span-stage latency attribution on a live
-// n-node loopback cluster. It boots three pooled-scheduler clusters in
-// sequence: one with every trace sampled (the attribution run), one at
-// the default 1/64 rate and one with tracing disabled (the overhead
-// pair). basePort spaces them apart as in SchedAblation.
+// n-node loopback cluster. It boots clusters in sequence: one with
+// every trace sampled (the attribution run), then clusters at the
+// default 1/64 rate and with tracing disabled (the overhead pair).
+// basePort spaces them apart as in PipelineSweep.
 func TraceBreakdown(n, basePort int, d Durations) TraceBreakdownReport {
 	registerLiveMessages()
 
 	// Attribution run: sample rate 1 so every commit the leader drives
 	// produces a critical path and every stage fills its reservoir.
-	row, tracers := runSchedConfig("pooled", 1, n, basePort, d, nil, 1)
+	row, tracers := runLiveCluster(1, n, basePort, d, nil, 1)
 
 	samples := map[string][]float64{}
 	counts := map[string]uint64{}
@@ -133,8 +133,8 @@ func TraceBreakdown(n, basePort int, d Durations) TraceBreakdownReport {
 	// drift as tracing overhead. Run two rounds in opposite order and
 	// keep each mode's best window — drift then cancels instead of
 	// landing on whichever mode ran first.
-	run := func(port, every int) SchedAblationRow {
-		row, _ := runSchedConfig("pooled", 1, n, port, d, nil, every)
+	run := func(port, every int) PipelineRow {
+		row, _ := runLiveCluster(1, n, port, d, nil, every)
 		return row
 	}
 	off1 := run(basePort+100, 0)

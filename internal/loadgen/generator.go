@@ -54,9 +54,10 @@ type Config struct {
 	Obs *obs.Registry
 	// Spans, when set, samples submissions for causal tracing: a
 	// sampled batch's trace context is stamped on its wire frames (so
-	// replica-side client-admit spans share the client's trace ID) and
-	// the client records an egress-reply span — submit to certified
-	// reply, the reply leg as the client observes it — on confirmation.
+	// what a replica sends while handling them stays on the client's
+	// trace) and the client records an egress-reply span — submit to
+	// certified reply, the reply leg as the client observes it — on
+	// confirmation.
 	Spans *obs.SpanTracer
 }
 

@@ -1,7 +1,6 @@
 package mempool
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -175,91 +174,5 @@ func TestRequeueSkipsCommittedAndSynthetic(t *testing.T) {
 	p.Requeue([]types.Transaction{committed, synth})
 	if p.Len() != 0 {
 		t.Fatalf("committed/synthetic txs requeued: len=%d", p.Len())
-	}
-}
-
-func TestStageCountsTowardDepthBound(t *testing.T) {
-	p := New()
-	p.SetAdmission(AdmissionConfig{MaxDepth: 4})
-	res := p.Stage(txRange(types.ClientIDBase, 1, 3), 0)
-	if res.Admitted != 3 {
-		t.Fatalf("stage admitted %d", res.Admitted)
-	}
-	// Staged-but-undrained transactions occupy depth.
-	res = p.Stage(txRange(types.ClientIDBase, 4, 3), 0)
-	if res.Admitted != 1 || len(res.RejectedFull) != 2 {
-		t.Fatalf("staging ignored staged depth: %+v", res)
-	}
-	if n := p.DrainStaged(); n != 4 {
-		t.Fatalf("drained %d", n)
-	}
-	// Queue depth keeps the bound engaged after the drain.
-	res = p.Stage(txRange(types.ClientIDBase, 7, 1), 0)
-	if len(res.RejectedFull) != 1 {
-		t.Fatalf("queue depth not counted after drain: %+v", res)
-	}
-}
-
-// TestConcurrentStageUnderAdmission hammers Stage from many goroutines
-// while the consensus side drains and batches, with a tight depth bound
-// forcing constant accept/reject churn. Run with -race; the invariant
-// checked is accounting conservation: everything staged is eventually
-// admitted+deduped, everything else rejected, nothing lost.
-func TestConcurrentStageUnderAdmission(t *testing.T) {
-	p := New()
-	p.SetAdmission(AdmissionConfig{MaxDepth: 64, ClientRate: 1e6, ClientBurst: 1000})
-	const workers = 8
-	const perWorker = 500
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var admitted, rejected int
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := types.ClientIDBase + types.NodeID(w)
-			for i := 0; i < perWorker; i++ {
-				res := p.Stage([]types.Transaction{txn(client, uint32(i+1))}, types.Time(i)*time.Millisecond)
-				mu.Lock()
-				admitted += res.Admitted
-				rejected += res.Rejected()
-				mu.Unlock()
-			}
-		}()
-	}
-	done := make(chan struct{})
-	var popped int
-	go func() {
-		defer close(done)
-		for {
-			p.DrainStaged()
-			popped += len(p.NextBatch(32, 0))
-			select {
-			case <-done:
-			default:
-			}
-			mu.Lock()
-			finished := admitted+rejected == workers*perWorker
-			mu.Unlock()
-			if finished && p.DrainStaged() == 0 && p.Len() == 0 {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if admitted+rejected != workers*perWorker {
-		t.Fatalf("accounting leak: admitted=%d rejected=%d", admitted, rejected)
-	}
-	st := p.Stats()
-	if int(st.Accepted)+int(st.Duplicates) != admitted {
-		t.Fatalf("pool accepted+dups=%d, stage admitted=%d", st.Accepted+st.Duplicates, admitted)
-	}
-	if popped != int(st.Accepted) {
-		t.Fatalf("popped %d, accepted %d", popped, st.Accepted)
-	}
-	if st.RejectedFull+st.RejectedRate != uint64(rejected) {
-		t.Fatalf("stats rejections %d+%d, observed %d", st.RejectedFull, st.RejectedRate, rejected)
 	}
 }

@@ -16,7 +16,6 @@
 package mempool
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,11 +36,6 @@ type Stats struct {
 	Synthetic uint64
 	// CommittedTxs counts client transactions marked committed.
 	CommittedTxs uint64
-	// StagedDepth is the number of transactions sitting in the staging
-	// buffer (admitted off-loop, not yet drained onto the queue).
-	StagedDepth int
-	// Staged counts transactions ever placed in the staging buffer.
-	Staged uint64
 	// RejectedFull counts transactions refused because the pool was at
 	// its configured depth bound.
 	RejectedFull uint64
@@ -56,13 +50,11 @@ type Stats struct {
 	PrioDepth int
 }
 
-// Pool is a per-node transaction pool. The queue and dedup maps are
-// not safe for concurrent use — Add, Len, NextBatch, MarkCommitted,
-// Requeue and DrainStaged must stay on the consensus goroutine. Stage
-// is the one concurrent entry point: ingress workers park transactions
-// in a mutex-guarded staging buffer, and the consensus goroutine
-// admits them in one batch via DrainStaged. The admission counters are
-// atomics so metric scrapers may call Stats from other goroutines.
+// Pool is a per-node transaction pool. The queue, dedup maps and
+// admission limiter are not safe for concurrent use — Add, Len,
+// NextBatch, MarkCommitted and Requeue must stay on the consensus
+// goroutine. The admission counters are atomics so metric scrapers may
+// call Stats from other goroutines.
 type Pool struct {
 	queue   []types.Transaction
 	prio    []types.Transaction
@@ -77,16 +69,8 @@ type Pool struct {
 	waitObs func(d time.Duration)
 	queueAt []time.Time
 
-	// staging buffer: written by ingress workers, drained on the
-	// consensus goroutine.
-	stagedMu sync.Mutex
-	staged   []types.Transaction
-
-	// admission limiter; nil when admission control is disabled. admMu
-	// serializes limiter access between Stage (ingress workers) and Add
-	// (consensus goroutine).
-	admMu sync.Mutex
-	adm   *admission
+	// admission limiter; nil when admission control is disabled.
+	adm *admission
 
 	// synthetic configuration
 	synthetic   bool
@@ -97,8 +81,6 @@ type Pool struct {
 
 	depth        atomic.Int64
 	prioDepth    atomic.Int64
-	stagedDepth  atomic.Int64
-	stagedTotal  atomic.Uint64
 	accepted     atomic.Uint64
 	duplicates   atomic.Uint64
 	genSynthetic atomic.Uint64
@@ -130,11 +112,8 @@ func NewSynthetic(self types.NodeID, payloadSize int) *Pool {
 }
 
 // SetAdmission installs (or, with a zero config, removes) admission
-// control. Call before traffic flows; the limiter itself is safe for
-// concurrent use afterwards.
+// control. Call before traffic flows.
 func (p *Pool) SetAdmission(cfg AdmissionConfig) {
-	p.admMu.Lock()
-	defer p.admMu.Unlock()
 	if !cfg.Enabled() {
 		p.adm = nil
 		return
@@ -152,16 +131,13 @@ func (p *Pool) SetWaitObserver(fn func(d time.Duration)) {
 	p.queueAt = nil
 }
 
-// admit runs txs through the limiter against the current total depth
-// (queue + staging). Returns the admitted subset and the outcome tally.
+// admit runs txs through the limiter against the current queue depth.
+// Returns the admitted subset and the outcome tally.
 func (p *Pool) admit(txs []types.Transaction, now types.Time) ([]types.Transaction, AdmitResult) {
-	p.admMu.Lock()
-	defer p.admMu.Unlock()
 	if p.adm == nil {
 		return txs, AdmitResult{Admitted: len(txs)}
 	}
-	depth := int(p.depth.Load()) + int(p.stagedDepth.Load())
-	admitted, res := p.adm.filter(txs, depth, now)
+	admitted, res := p.adm.filter(txs, int(p.depth.Load()), now)
 	p.rejectedFull.Add(uint64(len(res.RejectedFull)))
 	p.rejectedRate.Add(uint64(len(res.RejectedRate)))
 	return admitted, res
@@ -200,48 +176,6 @@ func (p *Pool) enqueue(txs []types.Transaction) int {
 	}
 	p.depth.Store(int64(len(p.queue) + len(p.prio)))
 	return dups
-}
-
-// Stage parks client transactions for later batched admission. Safe
-// for concurrent use — this is how the ingress verify stage hands
-// transactions to the consensus goroutine without touching the dedup
-// maps. Admission control applies here (the staging buffer counts
-// toward MaxDepth) so overload is refused on the ingress worker, before
-// it can swamp the consensus loop. Duplicates are not filtered here;
-// DrainStaged inserts staged transactions with dedup as always.
-func (p *Pool) Stage(txs []types.Transaction, now types.Time) AdmitResult {
-	if len(txs) == 0 {
-		return AdmitResult{}
-	}
-	admitted, res := p.admit(txs, now)
-	if len(admitted) == 0 {
-		return res
-	}
-	p.stagedMu.Lock()
-	p.staged = append(p.staged, admitted...)
-	depth := len(p.staged)
-	p.stagedMu.Unlock()
-	p.stagedDepth.Store(int64(depth))
-	p.stagedTotal.Add(uint64(len(admitted)))
-	return res
-}
-
-// DrainStaged moves everything in the staging buffer onto the queue
-// (with dedup) and returns how many transactions were staged
-// (pre-dedup). Must be called from the consensus goroutine, like Add.
-// Staged transactions already passed admission, so they are not charged
-// a second time.
-func (p *Pool) DrainStaged() int {
-	p.stagedMu.Lock()
-	txs := p.staged
-	p.staged = nil
-	p.stagedMu.Unlock()
-	p.stagedDepth.Store(0)
-	if len(txs) == 0 {
-		return 0
-	}
-	p.enqueue(txs)
-	return len(txs)
 }
 
 // Requeue re-admits transactions from a proposal that failed to commit
@@ -388,8 +322,6 @@ func (p *Pool) Stats() Stats {
 		Duplicates:   p.duplicates.Load(),
 		Synthetic:    p.genSynthetic.Load(),
 		CommittedTxs: p.committedTxs.Load(),
-		StagedDepth:  int(p.stagedDepth.Load()),
-		Staged:       p.stagedTotal.Load(),
 		RejectedFull: p.rejectedFull.Load(),
 		RejectedRate: p.rejectedRate.Load(),
 		Requeued:     p.requeued.Load(),

@@ -1,26 +1,17 @@
 // Package sched coordinates the replica hot path as explicit stages:
 //
-//	ingress verify ──▶ consensus step ──▶ execute
-//	                                  └─▶ egress (client replies)
+//	ingress ──▶ consensus step ──▶ execute
+//	                           └─▶ egress (client replies)
 //
-// A Scheduler decides where each stage runs. Two implementations share
-// the interface:
-//
-//   - Sync runs every stage inline on the caller's goroutine, in
-//     program order — bit-exact with the historical single-threaded
-//     replica. The simulator, the fuzzer and every metered experiment
-//     pin it, because their determinism depends on call order and on
-//     every verification charging the virtual clock.
-//   - Pooled (pooled.go) runs ingress verification on a worker pool,
-//     and execute/egress on single ordered workers, so a multi-core
-//     live node is no longer limited to one core's worth of ECDSA.
-//
-// Only stateless work moves off the consensus goroutine. Signature and
-// quorum-certificate checks are pure functions of (payload, signer,
-// signature) against an immutable key ring, so the verify pool can run
-// them early and record the results in a crypto.CertCache; the
-// consensus stage re-requests the same checks and hits the cache. All
-// state mutation — CHECKER calls, ledger writes, mempool admission,
+// Sync is the one implementation: every stage runs inline on the
+// caller's goroutine, in program order — bit-exact with the historical
+// single-threaded replica. The simulator, the fuzzer, the harness and
+// the live node all run it, so the golden ledger hashes cover live
+// behaviour too. The stages stay named behind the Scheduler interface
+// because the live runtime binds the consensus stage to its event loop
+// (with a separate lane for client submissions), and because a traced
+// wrapper can meter each stage without touching the replica. All state
+// mutation — CHECKER calls, ledger writes, mempool admission,
 // pacemaker — stays on the consensus goroutine (see DESIGN.md,
 // "Concurrency model").
 package sched
@@ -54,29 +45,23 @@ func LaneFor(msg types.Message) Lane {
 
 // Scheduler coordinates the staged replica hot path.
 type Scheduler interface {
-	// Name identifies the implementation ("sync", "pooled").
+	// Name identifies the implementation ("sync").
 	Name() string
 	// Bind installs the consensus-stage sink: deliver enqueues a step
 	// function onto the single-threaded consensus loop, tagged with the
 	// traffic lane the step belongs to. The runtime that owns the loop
 	// calls Bind exactly once before traffic flows.
 	Bind(deliver func(lane Lane, step func()))
-	// Ingress accepts one decoded inbound message and eventually hands
-	// step to the bound deliver. Implementations may first run
-	// stateless verification (on the caller's or a worker's goroutine)
-	// and may block for backpressure when the verify stage is
-	// saturated; they must never drop step while the scheduler is
+	// Ingress accepts one decoded inbound message and hands step to the
+	// bound deliver; it must never drop step while the scheduler is
 	// running. ctx is the frame's causal-tracing context (zero when
-	// untraced); implementations that meter the verify stage attribute
-	// their spans to it.
+	// untraced), for implementations that meter the ingress stage.
 	Ingress(from types.NodeID, msg types.Message, ctx types.TraceContext, step func())
 	// Execute schedules post-commit work (commit observers, state
-	// machine side effects) in submission order, off the consensus
-	// goroutine when the implementation allows.
+	// machine side effects) in submission order.
 	Execute(fn func())
 	// Egress schedules reply traffic in submission order. Egress work
-	// is best-effort: an implementation overwhelmed by a slow client
-	// may shed it rather than stall consensus.
+	// is best-effort: replies are never allowed to stall consensus.
 	Egress(fn func())
 	// Stop tears the scheduler down. Work submitted after Stop may be
 	// dropped; Stop itself must not block on in-flight submissions.
@@ -87,10 +72,10 @@ type Scheduler interface {
 // work tagged with the chain height it belongs to. With chained
 // pipelining several heights commit in quick succession, and the
 // execute lane's correctness depends on applying them in height order;
-// a height-tagged submission lets the scheduler enforce (or at least
-// observe) that ordering instead of trusting submission order blindly.
-// Heights are monotone but not dense — snapshot catch-up jumps the
-// committed height forward — so implementations must only check
+// a height-tagged submission lets a scheduler (or a wrapper that meters
+// it) observe that ordering instead of trusting submission order
+// blindly. Heights are monotone but not dense — snapshot catch-up jumps
+// the committed height forward — so implementations must only check
 // monotonicity, never buffer for gap-filling.
 type HeightSequencer interface {
 	// ExecuteAt schedules fn like Scheduler.Execute, recording that it
@@ -101,9 +86,8 @@ type HeightSequencer interface {
 
 // Sync is the inline scheduler: every stage runs immediately on the
 // calling goroutine, preserving the exact call order of the
-// pre-pipeline replica. It is the only scheduler whose behavior is
-// bit-for-bit deterministic under the simulator, and the default
-// wherever no scheduler is configured.
+// pre-pipeline replica, which keeps it bit-for-bit deterministic under
+// the simulator. It is the default wherever no scheduler is configured.
 type Sync struct {
 	deliver func(lane Lane, step func())
 }
@@ -118,8 +102,8 @@ func (s *Sync) Name() string { return "sync" }
 func (s *Sync) Bind(deliver func(lane Lane, step func())) { s.deliver = deliver }
 
 // Ingress implements Scheduler: the step goes straight to the
-// consensus loop with no pre-verification (the consensus handlers do
-// all checking inline, charging the meter as always).
+// consensus loop (the consensus handlers do all checking inline,
+// charging the meter as always).
 func (s *Sync) Ingress(_ types.NodeID, msg types.Message, _ types.TraceContext, step func()) {
 	if s.deliver != nil {
 		s.deliver(LaneFor(msg), step)

@@ -176,6 +176,7 @@ func TestLiveAdminEndpoints(t *testing.T) {
 		"achilles_mempool_synthetic_total ",
 		"achilles_transport_frames_sent_total{",
 		"achilles_transport_active_routes ",
+		"achilles_ledger_retained_bodies ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics: series %q absent", want)

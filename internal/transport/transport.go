@@ -32,10 +32,13 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,13 +132,13 @@ type Config struct {
 	Ring   *crypto.KeyRing
 
 	// Sched stages inbound frames through the replica hot-path pipeline
-	// (internal/sched): decoded frames enter Sched.Ingress, which may
-	// pre-verify them on worker goroutines before delivering the
-	// consensus step to the event loop. nil defaults to sched.NewSync()
-	// — frames go straight to the event loop, exactly the historical
-	// behavior. The live node passes the same scheduler instance here
-	// and to core.Config.Sched; the runtime takes ownership and stops
-	// it on Stop.
+	// (internal/sched): decoded frames enter Sched.Ingress, which
+	// delivers the consensus step to the event loop. nil defaults to
+	// sched.NewSync() — frames go straight to the event loop, exactly
+	// the historical behavior. A caller that wraps the scheduler (to
+	// meter its stages) passes the same instance here and to
+	// core.Config.Sched; the runtime takes ownership and stops it on
+	// Stop.
 	Sched sched.Scheduler
 
 	// Dial overrides the dialer — the netchaos fault-injection hook.
@@ -164,10 +167,10 @@ type Config struct {
 	// Consensus, recovery and timer events travel a separate priority
 	// queue that the event loop always drains first; client submission
 	// steps that find the client lane full are dropped (counted in
-	// ClientLaneDrops) rather than allowed to starve consensus. On the
-	// pooled path the transactions were already staged into the mempool
-	// by the ingress verifier, so a dropped step costs only a little
-	// batching latency, never an admitted transaction.
+	// ClientLaneDrops) rather than allowed to starve consensus. A
+	// dropped step's transactions were never admitted here; the
+	// client's retransmission, or another replica's copy, still gets
+	// them ordered.
 	ClientQueue int
 
 	// ReplyQueue bounds each client route's outbound reply queue
@@ -236,10 +239,16 @@ type Runtime struct {
 	bulk     chan func()   // client-lane steps; drained only when events is empty
 	stopping chan struct{} // soft stop: writers drain their queues
 	done     chan struct{} // hard stop: event loop and readers exit
+	loopDone chan struct{} // closed when the event loop has returned
 	closing  sync.Once
 	listener net.Listener
 	writers  sync.WaitGroup
 	repliers sync.WaitGroup
+	// loopStarted is set by Start; loopG is the event loop's goroutine
+	// id, which lets Stop tell whether it is being called from inside a
+	// step (where waiting for the loop to return would deadlock).
+	loopStarted atomic.Bool
+	loopG       atomic.Uint64
 
 	helloNonce atomic.Uint64
 	laneDrops  atomic.Uint64
@@ -322,6 +331,7 @@ func New(cfg Config, r protocol.Replica) *Runtime {
 		bulk:      make(chan func(), cfg.ClientQueue),
 		stopping:  make(chan struct{}),
 		done:      make(chan struct{}),
+		loopDone:  make(chan struct{}),
 		peers:     make(map[types.NodeID]string, len(cfg.Peers)),
 		outbound:  make(map[types.NodeID]*dialer),
 		routes:    make(map[types.NodeID]*route),
@@ -390,6 +400,7 @@ func (rt *Runtime) Start() error {
 		}
 		rt.ensureDialer(id, addr)
 	}
+	rt.loopStarted.Store(true)
 	go rt.eventLoop()
 	rt.events <- func() { rt.replica.Init(rt) }
 	return nil
@@ -405,7 +416,12 @@ func (rt *Runtime) Addr() string {
 
 // Stop shuts the runtime down gracefully: the listener closes
 // immediately, writers get up to DrainTimeout to flush queued frames
-// over their existing connections, then everything tears down.
+// over their existing connections, then everything tears down. Stop
+// returns only after the event loop has exited, so no consensus step
+// (a commit writing to a WAL, say) is still running when the caller
+// goes on to close what the replica uses. Called from inside a step,
+// Stop does not wait for the loop: that step is the one it would be
+// waiting for, and the loop exits as soon as the step returns.
 func (rt *Runtime) Stop() {
 	rt.closing.Do(func() {
 		rt.mu.Lock()
@@ -425,6 +441,9 @@ func (rt *Runtime) Stop() {
 		case <-time.After(rt.cfg.DrainTimeout + 100*time.Millisecond):
 		}
 		close(rt.done)
+		if rt.loopStarted.Load() && rt.loopG.Load() != goid() {
+			<-rt.loopDone
+		}
 		rt.mu.Lock()
 		for _, r := range rt.routes {
 			r.conn.Close()
@@ -486,7 +505,16 @@ func (rt *Runtime) logf(format string, args ...any) {
 }
 
 func (rt *Runtime) eventLoop() {
+	rt.loopG.Store(goid())
+	defer close(rt.loopDone)
 	for {
+		// A stopped runtime runs no further step, however many are
+		// still queued.
+		select {
+		case <-rt.done:
+			return
+		default:
+		}
 		// Priority drain: run every pending consensus-lane event before
 		// touching the client lane, so bulk submissions can delay client
 		// admission but never protocol progress or recovery.
@@ -507,6 +535,18 @@ func (rt *Runtime) eventLoop() {
 			fn()
 		}
 	}
+}
+
+// goid returns the calling goroutine's id, parsed from the header line
+// of its stack trace ("goroutine 17 [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	if i := bytes.IndexByte(b, ' '); i >= 0 {
+		b = b[:i]
+	}
+	id, _ := strconv.ParseUint(string(b), 10, 64)
+	return id
 }
 
 // acceptLoop accepts connections until the listener closes. Transient
@@ -760,13 +800,13 @@ func (rt *Runtime) readLoop(conn net.Conn, expect types.NodeID, accepted bool) {
 			continue
 		}
 		from, msg, tc := identity, f.Msg, f.Trace
-		// Hand the decoded frame to the ingress stage. Under Sync this
-		// enqueues the step directly (the historical path); under Pooled
-		// it blocks while the verify pool is saturated — backpressure
-		// that slows this peer's reader instead of silently dropping
-		// frames. The frame's trace context becomes the runtime's
-		// outbound context for the duration of the step, so whatever the
-		// handler sends (votes, decides) stays on the sender's trace.
+		// Hand the decoded frame to the ingress stage, which enqueues the
+		// step on the event loop (blocking while the consensus lane is
+		// full — backpressure that slows this peer's reader instead of
+		// silently dropping frames). The frame's trace context becomes
+		// the runtime's outbound context for the duration of the step,
+		// so whatever the handler sends (votes, decides) stays on the
+		// sender's trace.
 		rt.sched.Ingress(from, msg, tc, func() {
 			rt.traceCtx.Store(tc.Pack())
 			rt.replica.OnMessage(from, msg)

@@ -183,6 +183,11 @@ type Log struct {
 	f          *os.File
 	activeSize int64
 	nextSeq    uint64 // seq the next Append gets
+	// activeAttested is the active segment's record count the index
+	// vouches for: only what was synced when the index was written
+	// (creation, open, clean close). Pruning rewrites the index without
+	// a sync, so it must not raise this.
+	activeAttested int
 
 	pending   int // appends not yet fsynced (PolicyBatch)
 	lastFlush time.Time
@@ -285,6 +290,7 @@ func Open(opts Options) (*Log, error) {
 		if last {
 			l.active = seg
 			l.activeSize = valid
+			l.activeAttested = max(attested, 0)
 		} else {
 			l.segs = append(l.segs, seg)
 		}
@@ -305,6 +311,7 @@ func Open(opts Options) (*Log, error) {
 		}
 	}
 	if l.info.IndexRebuilt || !idxPresent {
+		l.activeAttested = l.active.records
 		if err := l.writeIndexLocked(); err != nil {
 			l.f.Close()
 			return nil, err
@@ -386,9 +393,8 @@ func (l *Log) writeIndexLocked() error {
 	for _, s := range l.segs {
 		doc.Segments = append(doc.Segments, indexSeg{File: s.file, First: s.first, Records: s.records})
 	}
-	// Include the active segment's current count: it is a valid lower
-	// bound even though the segment keeps growing.
-	doc.Segments = append(doc.Segments, indexSeg{File: l.active.file, First: l.active.first, Records: l.active.records})
+	// The active segment keeps growing; its entry is a lower bound.
+	doc.Segments = append(doc.Segments, indexSeg{File: l.active.file, First: l.active.first, Records: l.activeAttested})
 	data, err := json.Marshal(doc)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -533,6 +539,7 @@ func (l *Log) rotateLocked() error {
 	l.f = f
 	l.active = segment{file: name, first: l.nextSeq}
 	l.activeSize = 0
+	l.activeAttested = 0
 	return l.writeIndexLocked()
 }
 
@@ -612,6 +619,7 @@ func (l *Log) Close() error {
 		err = fmt.Errorf("wal: %w", cerr)
 	}
 	if err == nil {
+		l.activeAttested = l.active.records
 		err = l.writeIndexLocked()
 	}
 	l.dead = errors.New("wal: log closed")

@@ -261,6 +261,32 @@ func TestMissingSealedSegmentIsCorruption(t *testing.T) {
 	}
 }
 
+// TestTornTailAfterTruncateIsRepaired: pruning sealed segments
+// rewrites the index, but must not attest the active segment's
+// unsynced tail as durable — a crash right after a snapshot's
+// truncation can still tear the newest record, and reopen has to
+// repair it rather than refuse to start.
+func TestTornTailAfterTruncateIsRepaired(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	appendN(t, l, 40, "trunc")
+	if err := l.TruncateBefore(20); err != nil {
+		t.Fatalf("TruncateBefore: %v", err)
+	}
+	l.Abort()
+	if cut, err := NewInjector(3).TearFinalRecord(dir); err != nil || cut == 0 {
+		t.Fatalf("TearFinalRecord: cut=%d err=%v", cut, err)
+	}
+	l2, err := Open(Options{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("Open after tearing the newest record: %v", err)
+	}
+	defer l2.Close()
+	if l2.LastSeq() != 39 || l2.Info().TornBytes == 0 {
+		t.Fatalf("LastSeq=%d info=%+v, want 39 with a repaired torn tail", l2.LastSeq(), l2.Info())
+	}
+}
+
 func TestTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Policy: PolicyAlways, SegmentBytes: 256})
